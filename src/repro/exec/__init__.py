@@ -1,16 +1,18 @@
 """repro.exec — the real multiprocess pipeline execution engine.
 
-The simulator (:mod:`repro.core.simulator`) predicts; the threaded runtime
-(:mod:`repro.dswp.runtime`) demonstrates correctness under the GIL; this
-package *executes*: the paper's A/B/C pipeline on real OS processes with
-bounded full/empty-blocking channels, speculative write buffers with
+The simulator (:mod:`repro.core.simulator`) predicts; this package
+*executes*: the paper's A/B/C pipeline on real OS processes (or, under the
+``thread`` transport, on threads of the calling process) with bounded
+full/empty-blocking channels, speculative write buffers with
 commit-time validation and rollback, bounded crash/hang recovery with
 graceful degradation to sequential execution, and per-run metrics that
 calibrate the simulator against measured wall clock.
 
 - :mod:`repro.exec.engine`   — :class:`ExecutionEngine`, :class:`PipelineSpec`,
   the sequential reference, and TaskGraph replay;
-- :mod:`repro.exec.workers`  — producer/worker process entry points;
+- :mod:`repro.exec.runtime`  — :class:`LocalRuntime`, where one run's
+  producer and workers live, and the runtime contract a pool lease shares;
+- :mod:`repro.exec.workers`  — producer/worker stage entry points;
 - :mod:`repro.exec.channels` — bounded blocking inter-process channels;
 - :mod:`repro.exec.rollback` — write buffers, version validation, commit;
 - :mod:`repro.exec.faults`   — fault injection and the robustness policy;
@@ -34,6 +36,7 @@ from repro.exec.engine import (
 from repro.exec.faults import FaultPlan, InjectedFault, RobustnessPolicy
 from repro.exec.metrics import EngineMetrics
 from repro.exec.rollback import CommittedStore, WriteBuffer
+from repro.exec.runtime import LocalRuntime
 
 __all__ = [
     "ChannelChaos",
@@ -46,6 +49,7 @@ __all__ = [
     "ExecutionEngine",
     "FaultPlan",
     "InjectedFault",
+    "LocalRuntime",
     "PipelineSpec",
     "ProcessChannel",
     "RobustnessPolicy",

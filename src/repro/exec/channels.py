@@ -1,9 +1,9 @@
 """Inter-process channels with the paper's full/empty blocking semantics.
 
-:class:`ProcessChannel` is the multiprocess sibling of
-:class:`repro.hw.queues.BlockingBoundedQueue`: a bounded FIFO where a
-produce *blocks* while the channel is full and a consume *blocks* while it
-is empty — the synchronization-array behaviour the simulator models on its
+:class:`ProcessChannel` is the multiprocess, blocking sibling of
+:class:`repro.hw.queues.BoundedQueue`: a bounded FIFO where a produce
+*blocks* while the channel is full and a consume *blocks* while it is
+empty — the synchronization-array behaviour the simulator models on its
 256 32-entry queues, realized on real OS pipes.
 
 The wire beneath the channel is pluggable (:mod:`repro.exec.transport`):

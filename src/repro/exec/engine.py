@@ -1,11 +1,11 @@
-"""The multiprocess pipeline execution engine.
+"""The pipeline execution engine: the in-order committer (phase C).
 
-Where :mod:`repro.core.simulator` *predicts* the makespan of the paper's
-A/B/C pipeline from abstract task costs, and :mod:`repro.dswp.runtime`
-*demonstrates* its correctness on GIL-bound threads, this engine *runs* it:
-one phase-A producer process, N replicated phase-B worker processes pulling
-from a bounded inter-process channel, and an in-order committer (phase C)
-in the calling process — real parallelism on real cores.
+The engine runs the paper's A/B/C pipeline: one phase-A producer, N
+replicated phase-B workers pulling from a bounded channel, and this
+module's committer in the calling process.  The producer and workers run
+wherever the engine's runtime puts them (:mod:`repro.exec.runtime`): its
+own processes or threads, or a leased slice of the job server's worker
+pool — the committer loop is the same code against all of them.
 
 Execution is speculative in the versioned-memory sense: each B task runs
 against a private :class:`~repro.exec.rollback.WriteBuffer`; the committer
@@ -40,8 +40,6 @@ busy-work — the bridge for simulated-vs-measured calibration tables.
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,28 +47,16 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.plan import ExecutionPlan
 from repro.core.tasks import Phase, TaskGraph
-from repro.exec.channels import ChannelChaos, ChannelTimeout, ProcessChannel
+from repro.exec.channels import ChannelChaos, ChannelTimeout
 from repro.exec.faults import FaultPlan, RobustnessPolicy
 from repro.exec.metrics import EngineMetrics
 from repro.exec.rollback import CommittedStore, Location, WriteBuffer
 from repro.exec.transport import TRANSPORT_KINDS
-from repro.exec.workers import (
-    HardExit,
-    ShutdownGuard,
-    producer_main,
-    raise_hard_exit,
-    worker_main,
-)
+from repro.exec.runtime import LocalRuntime
 from repro.obs.clock import now_ns
 from repro.obs.events import EventKind, TraceConfig
 from repro.obs.live import LiveConfig, LiveMonitor
-from repro.obs.registry import (
-    MetricsRegistry,
-    WRITER_COMMITTER,
-    WRITER_PRODUCER,
-    WRITER_WORKER0,
-    writers_for,
-)
+from repro.obs.registry import MetricsRegistry, WRITER_COMMITTER
 from repro.obs.serve import MetricsServer
 from repro.obs.spool import open_tracer
 from repro.resilience.checkpoint import (
@@ -80,11 +66,7 @@ from repro.resilience.checkpoint import (
     CheckpointManager,
     spec_fingerprint,
 )
-from repro.resilience.throttle import (
-    SpeculationThrottle,
-    ThrottleConfig,
-    max_window_for,
-)
+from repro.resilience.throttle import ThrottleConfig
 
 logger = logging.getLogger(__name__)
 
@@ -95,55 +77,6 @@ _UNTHROTTLED_WINDOW = 2 ** 30
 
 def _identity(accumulator: Any) -> Any:
     return accumulator
-
-
-class _ThreadHandle:
-    """A process-like facade over a pipeline stage running as a thread.
-
-    The ``thread`` transport keeps every stage in the calling process, but
-    the committer's health machinery speaks the ``multiprocessing.Process``
-    dialect — ``is_alive``/``exitcode``/``terminate``/``join``.  Injected
-    crashes arrive as :class:`HardExit` (raised by the injected
-    ``hard_exit``) and land in ``exitcode`` exactly as ``os._exit`` codes
-    would, so crash accounting and respawn budgets behave identically
-    across transports.  ``terminate`` is necessarily a no-op: a hung
-    thread cannot be killed, only abandoned — it is daemonic and any late
-    duplicate results it sends are dropped by the committer.
-    """
-
-    def __init__(self, target, args, name: str) -> None:
-        self.exitcode: Optional[int] = None
-        self._thread = threading.Thread(
-            target=self._run, args=(target, args), name=name, daemon=True
-        )
-
-    def _run(self, target, args) -> None:
-        code = 0
-        try:
-            target(*args)
-        except HardExit as stop:
-            code = stop.code
-        except BaseException:
-            logger.exception(
-                "pipeline thread %s died", self._thread.name
-            )
-            code = 1
-        self.exitcode = code
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def terminate(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        pass
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
 
 
 def _dict_accumulator() -> dict:
@@ -236,9 +169,9 @@ class ExecutionEngine:
     ``multiprocessing.Queue``), ``"shm"`` (the zero-copy shared-memory
     ring — the high-throughput data plane), or ``"thread"`` (stages run
     as threads of the calling process; items move by reference, injected
-    crashes unwind via :class:`HardExit` instead of ``os._exit``, and
-    hung stages are abandoned rather than killed).  Output is bit
-    identical across all three.
+    crashes unwind via :class:`~repro.exec.workers.HardExit` instead of
+    ``os._exit``, and hung stages are abandoned rather than killed).
+    Output is bit identical across all three.
 
     ``trace`` (default: off) attaches the structured tracing layer of
     :mod:`repro.obs`: the producer, every worker, and the committer write
@@ -260,30 +193,15 @@ class ExecutionEngine:
     After the run the watchdog's summary is on ``metrics.watchdog`` and the
     bound HTTP port (if any) on :attr:`live_server_port`.
 
-    ``runtime`` (default: none) runs the pipeline against a *pre-existing*
-    worker-pool lease (:class:`repro.service.pool.LeaseRuntime`) instead of
-    forking a fresh producer/worker tree: the runtime supplies the
-    channels, shutdown event, watermark/window values, metrics registry,
-    producer handle, and leased worker processes, and takes over respawn,
-    teardown, halt, and cancellation.  The committer loop, speculation
-    validation, throttling, and degradation machinery are identical in
-    both modes — only process lifecycle is delegated.  The duck-typed
-    contract the runtime must satisfy:
-
-    - attributes ``work``/``done`` (:class:`ProcessChannel`), ``shutdown``
-      (cleared event), ``watermark``/``window`` (shared ``Value("l")``),
-      ``registry`` (:class:`MetricsRegistry` or None), and
-      ``job_throttle`` (a :class:`SpeculationThrottle`-shaped controller
-      or None — per-tenant persistent in the service);
-    - ``start_producer(spec, start, batch_size, fault_plan)`` returning a
-      process-like handle (``is_alive``/``exitcode``/``terminate``/
-      ``join``);
-    - ``workers()`` returning ``{wid: handle}`` for the leased workers;
-    - ``respawn()`` returning ``(wid, handle)`` for a replacement worker
-      already leased to this job;
-    - ``cancelled()`` polled by the committer loop;
-    - ``teardown(producer, processes, done, join_timeout)`` (cooperative)
-      and ``halt(producer, processes, join_timeout)`` (emergency).
+    ``runtime`` (default: none) is where the producer and workers run:
+    the channels, shutdown event, watermark/window values, metrics
+    registry, and stage handles all come from it, and it owns respawn,
+    teardown, halt, and cancellation (the contract is documented in
+    :mod:`repro.exec.runtime`).  None builds a fresh
+    :class:`~repro.exec.runtime.LocalRuntime` per run from the options
+    above; the job server passes a worker-pool lease
+    (:class:`repro.service.pool.LeaseRuntime`).  The run's runtime is
+    :attr:`runtime`.
     """
 
     def __init__(
@@ -336,7 +254,9 @@ class ExecutionEngine:
         self.trace_config = trace
         self.live_config = live
         self._start_method = start_method
-        self.external_runtime = runtime
+        self._given_runtime = runtime
+        #: The runtime of the current (or last) run.
+        self.runtime: Optional[Any] = runtime
         self.metrics = EngineMetrics()
         self.checkpoint_manager: Optional[CheckpointManager] = None
         #: The last run's live monitor (None when ``live`` is off) and the
@@ -413,6 +333,23 @@ class ExecutionEngine:
             )
         return checkpoint
 
+    def _runtime_for_run(self):
+        """The caller's runtime (a pool lease), else a fresh
+        :class:`LocalRuntime` forking this run's own stages."""
+        if self._given_runtime is not None:
+            return self._given_runtime
+        return LocalRuntime(
+            self.workers, self.capacity, self.batch_size,
+            flush_interval=self.flush_interval,
+            transport=self.transport,
+            channel_chaos=self.channel_chaos,
+            start_method=self._start_method,
+            throttle=self.throttle_config,
+            live=self.live_config is not None,
+            max_respawns=self.policy.max_respawns,
+            trace=self.trace_config,
+        )
+
     # -- the committer loop -----------------------------------------------------
 
     def _run_pipeline(
@@ -424,45 +361,10 @@ class ExecutionEngine:
         policy = self.policy
         metrics = self.metrics
         manager = self.checkpoint_manager
-        rt = self.external_runtime
-        ctx = (
-            multiprocessing.get_context(self._start_method)
-            if self._start_method
-            else multiprocessing.get_context()
-        )
-        threaded = self.transport == "thread" and rt is None
-        if rt is not None:
-            # Pool mode: the lease supplies channels, shutdown, and shared
-            # values — all created once at pool start and reused per job.
-            work = rt.work
-            done = rt.done
-            shutdown = rt.shutdown
-            child_shutdown = shutdown
-        else:
-            work = ProcessChannel(
-                self.capacity, name="work", ctx=ctx, chaos=self.channel_chaos,
-                batch_size=self.batch_size, flush_interval=self.flush_interval,
-                transport=self.transport,
-            )
-            # Worst-case in-flight done traffic: a claim and a result for
-            # every item in the transport plus every item held in a worker's
-            # chunk, plus one "stopped" per worker.
-            done = ProcessChannel(
-                2 * (self.capacity + self.workers * self.batch_size)
-                + self.workers + 8,
-                name="done", ctx=ctx,
-                batch_size=self.batch_size, flush_interval=self.flush_interval,
-                transport=self.transport,
-            )
-            shutdown = ctx.Event()
-            # Children see parent death as shutdown, so a SIGKILLed engine
-            # cannot strand orphans spinning on channel credit — and the
-            # last orphan's exit is what lets the resource tracker unlink
-            # any shm segments the run mapped.
-            child_shutdown = (
-                shutdown if threaded
-                else ShutdownGuard(shutdown, os.getpid())
-            )
+        rt = self.runtime = self._runtime_for_run()
+        work = rt.work
+        done = rt.done
+        shutdown = rt.shutdown
         metrics.transport = work.transport_kind
         # The committer's own spool: claims, commits, conflicts, robustness
         # events, TASK_C spans, and its done-channel get waits.
@@ -477,128 +379,35 @@ class ExecutionEngine:
 
         # Adaptive speculation throttling: the committer is the controller;
         # workers observe the watermark/window pair through shared memory.
-        # Pool mode may supply a persistent (per-tenant) controller so one
-        # tenant's storm carries a shrunk window into its next lease.
-        if rt is not None:
-            throttle = rt.job_throttle
-            watermark_value = rt.watermark
-            window_value = rt.window
-            watermark_value.value = start
-            window_value.value = (
-                throttle.window if throttle else _UNTHROTTLED_WINDOW
-            )
-        else:
-            throttle = (
-                SpeculationThrottle(
-                    self.throttle_config,
-                    max_window_for(
-                        self.workers, self.capacity, self.batch_size
-                    ),
-                )
-                if self.throttle_config.enabled
-                else None
-            )
-            watermark_value = ctx.Value("l", start)
-            window_value = ctx.Value(
-                "l", throttle.window if throttle else _UNTHROTTLED_WINDOW
-            )
+        # A pool lease may supply a persistent (per-tenant) controller so
+        # one tenant's storm carries a shrunk window into its next lease.
+        throttle = rt.job_throttle
+        watermark_value = rt.watermark
+        window_value = rt.window
+        watermark_value.value = start
+        window_value.value = (
+            throttle.window if throttle else _UNTHROTTLED_WINDOW
+        )
 
-        # Live telemetry: the shared-memory registry must exist before any
-        # child is spawned (the shared arrays travel through process args).
-        # Pool mode inherits the slot's registry — reset by the pool before
-        # the lease, already mapped in every pool worker.
+        # Live telemetry: the runtime's shared-memory registry (a pool slot's
+        # is reset by the pool before the lease, already mapped in every
+        # pool worker).
         live_cfg = self.live_config
         live_abort = threading.Event()
-        registry: Optional[MetricsRegistry] = None
+        registry: Optional[MetricsRegistry] = rt.registry
         monitor: Optional[LiveMonitor] = None
         server: Optional[MetricsServer] = None
-        if rt is not None:
-            registry = rt.registry
-        elif live_cfg is not None:
-            registry = MetricsRegistry.create(
-                ctx, writers_for(self.workers, policy.max_respawns)
-            )
         if registry is not None:
             registry.set_gauge("iterations", spec.iterations)
             registry.set_gauge("watermark", start)
             registry.set_gauge("window", window_value.value)
             registry.set_gauge("workers_alive", self.workers)
 
-        if rt is not None:
-            producer = rt.start_producer(
-                spec, start=start, batch_size=self.batch_size,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            if threaded:
-                # Thread stages share the channel objects; each gets its
-                # own per-caller view so send buffers never interleave.
-                producer = _ThreadHandle(
-                    producer_main,
-                    (work.for_caller(), spec.iterations, spec.produce,
-                     self.fault_plan, child_shutdown, start, self.batch_size,
-                     self.trace_config, registry, WRITER_PRODUCER, True,
-                     raise_hard_exit),
-                    name="exec-A",
-                )
-            else:
-                producer = ctx.Process(
-                    target=producer_main,
-                    args=(work, spec.iterations, spec.produce,
-                          self.fault_plan, child_shutdown, start,
-                          self.batch_size, self.trace_config, registry,
-                          WRITER_PRODUCER),
-                    name="exec-A",
-                    daemon=True,
-                )
-            producer.start()
-
-        processes: Dict[int, Any] = {}
-        next_worker_id = 0
-
-        def spawn_worker() -> int:
-            nonlocal next_worker_id
-            if rt is not None:
-                wid, proc = rt.respawn()
-                processes[wid] = proc
-                return wid
-            wid = next_worker_id
-            next_worker_id += 1
-            # Every worker that ever exists gets its own counter row;
-            # clamp defensively so an overrun aliases the last row instead
-            # of corrupting foreign memory.
-            row = WRITER_WORKER0 + wid
-            if registry is not None and row >= registry.writers:
-                row = registry.writers - 1
-            if threaded:
-                proc = _ThreadHandle(
-                    worker_main,
-                    (wid, work.for_caller(), done.for_caller(), spec.work,
-                     spec.speculative, store.snapshot(), self.fault_plan,
-                     child_shutdown, watermark_value, window_value,
-                     self.batch_size, self.trace_config, registry, row,
-                     raise_hard_exit),
-                    name=f"exec-B{wid}",
-                )
-            else:
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(wid, work, done, spec.work, spec.speculative,
-                          store.snapshot(), self.fault_plan, child_shutdown,
-                          watermark_value, window_value, self.batch_size,
-                          self.trace_config, registry, row),
-                    name=f"exec-B{wid}",
-                    daemon=True,
-                )
-            proc.start()
-            processes[wid] = proc
-            return wid
-
-        if rt is not None:
-            processes.update(rt.workers())
-        else:
-            for _ in range(self.workers):
-                spawn_worker()
+        producer = rt.start_producer(
+            spec, start=start, batch_size=self.batch_size,
+            fault_plan=self.fault_plan,
+        )
+        processes: Dict[int, Any] = rt.workers(store.snapshot())
 
         if registry is not None and live_cfg is not None:
             monitor = LiveMonitor(
@@ -646,7 +455,8 @@ class ExecutionEngine:
             metrics.respawns += 1
             if registry is not None:
                 registry.add(WRITER_COMMITTER, "respawns")
-            new_wid = spawn_worker()
+            new_wid, proc = rt.respawn(store.snapshot())
+            processes[new_wid] = proc
             logger.info(
                 "respawned worker %d (replacing %d after %s, %d respawns "
                 "left)", new_wid, wid, reason, respawns_left,
@@ -934,7 +744,7 @@ class ExecutionEngine:
                 advance_commits()
                 if next_commit >= spec.iterations:
                     break
-                if rt is not None and rt.cancelled():
+                if rt.cancelled():
                     # Job cancellation (repro.service): stop committing and
                     # take the cooperative teardown path — the committed
                     # prefix stays valid, pool workers stay alive.
@@ -994,11 +804,9 @@ class ExecutionEngine:
             # propagate (the committer's spool is closed cleanly so a
             # post-mortem trace survives).
             shutdown.set()
-            stop_live()  # before channel.close(): the final sample reads them
-            self._halt(producer, processes)
-            if rt is None:
-                for channel in (work, done):
-                    channel.close()
+            stop_live()  # before rt.close(): the final sample reads them
+            rt.halt(producer, processes, policy.join_timeout)
+            rt.close()
             done.tracer = None  # pool channels outlive the job
             if tracer is not None:
                 tracer.close()
@@ -1012,32 +820,37 @@ class ExecutionEngine:
         # stall.  The final sample captures the pipeline's true end state.
         stop_live()
 
-        if degraded:
-            logger.warning(
-                "degrading to sequential execution at commit watermark %d",
-                next_commit,
-            )
+        try:
+            if degraded:
+                logger.warning(
+                    "degrading to sequential execution at commit watermark "
+                    "%d", next_commit,
+                )
+                if tracer is not None:
+                    tracer.instant(EventKind.DEGRADE, arg=next_commit)
+                self._degrade(
+                    spec, store, accumulator, next_commit, pending, producer,
+                    processes,
+                )
+            else:
+                rt.teardown(producer, processes, policy.join_timeout)
+        finally:
+            # Also when the sequential finish raises (a task or produce
+            # that fails deterministically): the channels are released.
+            for channel in (work, done):
+                metrics.channel_stats[channel.name] = (
+                    channel.occupancy_stats()
+                )
+            rt.close()
+            done.tracer = None  # pool channels outlive the job
             if tracer is not None:
-                tracer.instant(EventKind.DEGRADE, arg=next_commit)
-            self._degrade(
-                spec, store, accumulator, next_commit, pending, producer,
-                processes,
-            )
-        else:
-            self._teardown(producer, processes, done)
+                tracer.close()
 
         if throttle is not None:
             metrics.throttle_shrinks = throttle.shrinks
             metrics.throttle_grows = throttle.grows
             metrics.min_window = throttle.min_window_seen
             metrics.final_window = throttle.window
-        for channel in (work, done):
-            metrics.channel_stats[channel.name] = channel.occupancy_stats()
-            if rt is None:
-                channel.close()  # pool channels outlive the job
-        done.tracer = None
-        if tracer is not None:
-            tracer.close()
         return EngineResult(
             spec.finalize(accumulator),
             metrics,
@@ -1069,19 +882,8 @@ class ExecutionEngine:
         metrics = self.metrics
         manager = self.checkpoint_manager
         metrics.degraded_to_sequential = True
-        if self.external_runtime is not None:
-            # The pool replaces killed leased workers on release; the
-            # sequential finish below is identical in both modes.
-            self.external_runtime.halt(
-                producer, processes, self.policy.join_timeout
-            )
-        else:
-            for proc in [producer] + list(processes.values()):
-                if proc is not None and proc.is_alive():
-                    proc.terminate()
-            for proc in [producer] + list(processes.values()):
-                if proc is not None:
-                    proc.join(self.policy.join_timeout)
+        # A pool replaces halted leased workers on release.
+        self.runtime.halt(producer, processes, self.policy.join_timeout)
 
         def committed(i: int) -> None:
             metrics.commits += 1
@@ -1112,54 +914,6 @@ class ExecutionEngine:
             metrics.serial_reexecutions += 1
             spec.commit(i, result, accumulator)
             committed(i)
-
-    def _halt(self, producer, processes) -> None:
-        """Emergency stop: terminate and reap every child, unconditionally.
-
-        The crashed-committer path.  Cooperative shutdown is not enough
-        here: with no consumer left a worker can be blocked mid-put
-        (credit starvation polls forever), so the children are killed
-        outright and joined — nothing may outlive the run and keep
-        touching its shared state.
-        """
-        if self.external_runtime is not None:
-            self.external_runtime.halt(
-                producer, processes, self.policy.join_timeout
-            )
-            return
-        procs = [producer] + list(processes.values())
-        for proc in procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            if proc is not None:
-                proc.join(self.policy.join_timeout)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(self.policy.join_timeout)
-
-    def _teardown(self, producer, processes, done: ProcessChannel) -> None:
-        """Normal completion: let children observe shutdown and exit."""
-        if self.external_runtime is not None:
-            # Pool workers observe the slot shutdown event, flush, send
-            # their release, and go idle — they are not joined or killed.
-            self.external_runtime.teardown(
-                producer, processes, done, self.policy.join_timeout
-            )
-            return
-        deadline = time.monotonic() + self.policy.join_timeout
-        procs = [producer] + [p for p in processes.values() if p is not None]
-        while time.monotonic() < deadline:
-            # Keep draining so a worker blocked on a full done channel can
-            # finish its put and see the shutdown event.
-            done.drain()
-            if not any(proc.is_alive() for proc in procs):
-                break
-            time.sleep(0.01)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(self.policy.join_timeout)
 
 
 # -- TaskGraph replay (simulated-vs-measured calibration) ------------------------

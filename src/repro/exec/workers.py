@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
 from typing import Any, Callable, Optional
 
@@ -90,15 +91,69 @@ def raise_hard_exit(code: int) -> None:
     raise HardExit(code)
 
 
-class ShutdownGuard:
-    """The engine's shutdown event, plus parent-death detection.
+class ThreadStage:
+    """A process-like facade over a pipeline stage running as a thread.
 
-    An engine parent killed with SIGKILL never sets the shutdown event,
-    so its children would idle (or spin on channel credit) forever —
-    keeping shared-memory segments mapped and therefore leaked.  Exposing
-    parent death through ``is_set()`` makes every existing cooperative
-    exit check double as the orphan reaper: once the last mapper exits,
-    the resource tracker unlinks the segments even for SIGKILLed runs.
+    Thread stages (the ``thread`` transport, and the worker pool's phase A
+    in the server process) live in the calling process, but the
+    committer's health machinery speaks the ``multiprocessing.Process``
+    dialect — ``is_alive``/``exitcode``/``terminate``/``kill``/``join``.
+    Injected crashes arrive as :class:`HardExit` (raised by the injected
+    ``hard_exit``) and land in ``exitcode`` exactly as ``os._exit`` codes
+    would; any other exception exits 1.  Crash accounting and respawn
+    budgets therefore behave identically across transports.
+    ``terminate``/``kill`` are necessarily no-ops: a thread can only be
+    stopped cooperatively (the shutdown event), and a hung one is
+    abandoned — it is daemonic, and any late duplicate results it sends
+    are dropped by the committer.
+    """
+
+    def __init__(self, target, args=(), kwargs=None, name=None) -> None:
+        self.exitcode: Optional[int] = None
+        self._thread = threading.Thread(
+            target=self._run, args=(target, args, kwargs or {}), name=name,
+            daemon=True,
+        )
+
+    def _run(self, target, args, kwargs) -> None:
+        code = 0
+        try:
+            target(*args, **kwargs)
+        except HardExit as stop:
+            code = stop.code
+        except BaseException:
+            logger.exception("pipeline thread %s died", self._thread.name)
+            code = 1
+        self.exitcode = code
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def is_alive(self) -> bool:
+        return self._thread.is_alive()
+
+    def terminate(self) -> None:
+        pass
+
+    def kill(self) -> None:
+        pass
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        self._thread.join(timeout)
+
+
+class ShutdownGuard:
+    """A shutdown event, plus parent-death detection.
+
+    A parent (an engine, or the job server owning a worker pool) killed
+    with SIGKILL never sets the shutdown event and cannot tell its
+    children anything: a pool worker's control pipe never EOFs either
+    (sibling workers inherited the other end at fork).  The children
+    would idle (or spin on channel credit) forever — keeping
+    shared-memory segments mapped and therefore leaked.  Exposing parent
+    death through ``is_set()`` makes every existing cooperative exit
+    check double as the orphan reaper: once the last mapper exits, the
+    resource tracker unlinks the segments even for SIGKILLed runs.
     Picklable (an event and a pid) so it rides the spawn args.
     """
 

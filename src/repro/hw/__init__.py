@@ -19,7 +19,6 @@ subsystem, allowing for privatization of data and memory alias speculation.
 from repro.hw.events import EventKernel
 from repro.hw.machine import MachineConfig
 from repro.hw.queues import (
-    BlockingBoundedQueue,
     BoundedQueue,
     QueueEmptyError,
     QueueFullError,
@@ -33,7 +32,6 @@ from repro.hw.versioned_memory import (
 )
 
 __all__ = [
-    "BlockingBoundedQueue",
     "BoundedQueue",
     "ConflictError",
     "Epoch",

@@ -1,15 +1,11 @@
 """Core-to-core communication queues.
 
-Three views of the same hardware:
+Two views of the same hardware:
 
 - :class:`BoundedQueue` — an executable FIFO with capacity semantics, used
   by the runtime-correctness tests and the DSWP multithreaded-code-generation
   examples (a producer stage blocks on full, a consumer on empty — the
   "synchronization array" behaviour of Rangan et al. [26]);
-- :class:`BlockingBoundedQueue` — the same FIFO wrapped in condition
-  variables so real threads genuinely *block* on full/empty instead of
-  receiving an error; this is the queue the executable pipeline runtimes
-  (:mod:`repro.dswp.runtime` and :mod:`repro.exec`) stand on;
 - :class:`TimedQueueModel` — the performance-simulation view: given the
   *times* of produces and consumes it answers "when may the k-th produce
   complete?" under the capacity bound, which is exactly the full/empty
@@ -18,7 +14,6 @@ Three views of the same hardware:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Deque, Generic, List, Optional, TypeVar
 
@@ -92,56 +87,6 @@ class BoundedQueue(Generic[T]):
 
     def __repr__(self) -> str:
         return f"BoundedQueue({self.name!r}, {len(self._items)}/{self.capacity})"
-
-
-class BlockingBoundedQueue(Generic[T]):
-    """A :class:`BoundedQueue` with real blocking full/empty semantics.
-
-    A produce on a full queue and a consume on an empty queue *wait* (the
-    synchronization-array behaviour) instead of raising, which is what the
-    executable runtimes need: the threaded DSWP pipeline and the exec
-    engine's in-process channels both stand on this class.  The underlying
-    queue's occupancy statistics remain observable through :attr:`stats`.
-    """
-
-    def __init__(self, capacity: int = 32, name: str = "") -> None:
-        self._queue: BoundedQueue[T] = BoundedQueue(capacity=capacity, name=name)
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
-
-    @property
-    def capacity(self) -> int:
-        return self._queue.capacity
-
-    @property
-    def stats(self) -> BoundedQueue:
-        """The wrapped queue, exposing produces/consumes/max_occupancy."""
-        return self._queue
-
-    def put(self, item: T) -> None:
-        """Produce ``item``, blocking while the queue is full."""
-        with self._not_full:
-            while self._queue.full:
-                self._not_full.wait()
-            self._queue.produce(item)
-            self._not_empty.notify()
-
-    def get(self) -> T:
-        """Consume the oldest item, blocking while the queue is empty."""
-        with self._not_empty:
-            while self._queue.empty:
-                self._not_empty.wait()
-            item = self._queue.consume()
-            self._not_full.notify()
-            return item
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    def __repr__(self) -> str:
-        return f"Blocking{self._queue!r}"
 
 
 class TimedQueueModel:

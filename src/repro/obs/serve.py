@@ -249,28 +249,30 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
-class MetricsServer:
-    """The telemetry endpoint for one engine run.
+class HttpEndpoint:
+    """The lifecycle of one stdlib HTTP endpoint, shared by the run's
+    telemetry server and the job server's API.
 
-    ``port=0`` binds an ephemeral port (tests, and parallel runs on one
-    box); the bound port is available as :attr:`port` after
-    :meth:`start`.  The serving thread is a daemon and is also stopped
-    explicitly by the engine's teardown.
+    Subclasses name their ``handler`` class (bound to its backend through
+    a ``type()`` subclass carrying :meth:`_bindings`), serving-thread name,
+    and startup log line.  ``port=0`` binds an ephemeral port (tests, and
+    parallel runs on one box); the bound port is available as :attr:`port`
+    after :meth:`start`.  The serving thread is a daemon and is also
+    stopped explicitly by :meth:`stop`.
     """
 
-    def __init__(
-        self,
-        monitor: LiveMonitor,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        labels: Optional[Iterable[Tuple[str, str]]] = None,
-    ) -> None:
-        self.monitor = monitor
+    handler = BaseHTTPRequestHandler
+    thread_name = "repro-http"
+    banner = "serving on http://%s:%d"
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.requested_port = port
-        self.labels = tuple(labels or ())
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
+
+    def _bindings(self) -> dict:
+        return {}
 
     @property
     def port(self) -> int:
@@ -278,11 +280,10 @@ class MetricsServer:
             return self.requested_port
         return self._server.server_address[1]
 
-    def start(self) -> "MetricsServer":
+    def start(self):
         handler = type(
-            "_BoundHandler",
-            (_Handler,),
-            {"monitor": self.monitor, "labels": self.labels},
+            "_Bound" + self.handler.__name__, (self.handler,),
+            self._bindings(),
         )
         self._server = ThreadingHTTPServer(
             (self.host, self.requested_port), handler
@@ -290,14 +291,11 @@ class MetricsServer:
         self._server.daemon_threads = True
         self._thread = threading.Thread(
             target=self._server.serve_forever,
-            name="repro-obs-serve",
+            name=self.thread_name,
             daemon=True,
         )
         self._thread.start()
-        logger.info(
-            "serving /metrics /snapshot /health on http://%s:%d",
-            self.host, self.port,
-        )
+        logger.info(self.banner, self.host, self.port)
         return self
 
     def stop(self) -> None:
@@ -308,3 +306,26 @@ class MetricsServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+
+
+class MetricsServer(HttpEndpoint):
+    """The telemetry endpoint for one engine run (stopped by the engine's
+    teardown)."""
+
+    handler = _Handler
+    thread_name = "repro-obs-serve"
+    banner = "serving /metrics /snapshot /health on http://%s:%d"
+
+    def __init__(
+        self,
+        monitor: LiveMonitor,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        labels: Optional[Iterable[Tuple[str, str]]] = None,
+    ) -> None:
+        super().__init__(host, port)
+        self.monitor = monitor
+        self.labels = tuple(labels or ())
+
+    def _bindings(self) -> dict:
+        return {"monitor": self.monitor, "labels": self.labels}

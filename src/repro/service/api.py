@@ -1,9 +1,9 @@
 """The HTTP face of the job server.
 
-Same stdlib :class:`~http.server.ThreadingHTTPServer` pattern as
-:mod:`repro.obs.serve` — no framework, a handler class bound to its
-service via ``type()``, ephemeral-port friendly (``port=0``).  JSON in,
-JSON out.
+The same stdlib :class:`~http.server.ThreadingHTTPServer` lifecycle as
+:mod:`repro.obs.serve` (:class:`~repro.obs.serve.HttpEndpoint`) — no
+framework, a handler class bound to its service via ``type()``,
+ephemeral-port friendly (``port=0``).  JSON in, JSON out.
 
 Routes::
 
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.serve import PROMETHEUS_CONTENT_TYPE
+from repro.obs.serve import PROMETHEUS_CONTENT_TYPE, HttpEndpoint
 from repro.service.jobs import JobState, TERMINAL_STATES
 
 logger = logging.getLogger(__name__)
@@ -51,7 +50,7 @@ _MAX_BODY = 64 * 1024
 
 class _ApiHandler(BaseHTTPRequestHandler):
     """Bound to a :class:`~repro.service.server.PipelineService` via a
-    ``type()`` subclass (see :class:`ApiServer.start`)."""
+    ``type()`` subclass (see :class:`ApiServer`)."""
 
     service = None  # injected
     protocol_version = "HTTP/1.1"
@@ -271,47 +270,17 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self._json(202, {"id": job_id, "state": outcome})
 
 
-class ApiServer:
-    """Lifecycle wrapper mirroring :class:`repro.obs.serve.MetricsServer`:
-    ``port=0`` binds ephemeral, :attr:`port` is live after :meth:`start`."""
+class ApiServer(HttpEndpoint):
+    """The job server's HTTP endpoint (lifecycle in
+    :class:`~repro.obs.serve.HttpEndpoint`)."""
+
+    handler = _ApiHandler
+    thread_name = "repro-service-api"
+    banner = "service API on http://%s:%d (POST /jobs, /health, /metrics)"
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(host, port)
         self.service = service
-        self.host = host
-        self.requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            return self.requested_port
-        return self._server.server_address[1]
-
-    def start(self) -> "ApiServer":
-        handler = type("_BoundApiHandler", (_ApiHandler,),
-                       {"service": self.service})
-        self._server = ThreadingHTTPServer(
-            (self.host, self.requested_port), handler
-        )
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-service-api",
-            daemon=True,
-        )
-        self._thread.start()
-        logger.info(
-            "service API on http://%s:%d (POST /jobs, /health, /metrics)",
-            self.host, self.port,
-        )
-        return self
-
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    def _bindings(self) -> dict:
+        return {"service": self.service}

@@ -15,14 +15,15 @@ starts — hence slots — while the job-specific, plain-picklable payload
 (work function, state snapshot, fault plan) travels over each worker's
 control pipe at lease time.
 
-:class:`LeaseRuntime` implements the external-runtime contract documented
-on :class:`repro.exec.engine.ExecutionEngine`: the engine runs its normal
-committer loop against the slot's channels, and delegates process lifecycle
-(respawn, teardown, halt, cancellation) here.  Phase A runs as a *thread*
-in the server process (:class:`_ThreadProducer`) — the producer is cheap,
-sequential, and stateful, and a thread spares a fork per job.  Consequence:
-fault plans with ``producer_crash_at`` are rejected (``os._exit`` in a
-thread would kill the server).
+:class:`LeaseRuntime` implements the engine's runtime contract (documented
+in :mod:`repro.exec.runtime`): the engine runs its normal committer loop
+against the slot's channels, and delegates process lifecycle (respawn,
+teardown, halt, cancellation) here.  Phase A runs as a *thread* in the
+server process (a :class:`~repro.exec.workers.ThreadStage`) — the
+producer is cheap, sequential, and stateful, and a thread spares a fork per
+job.  Fault plans with ``producer_crash_at`` are rejected: the injected
+crash closes phase A's end of the work channel, which here is the slot's,
+shared by every later job.
 
 Between leases a slot is scrubbed: channels are drained until the shared
 credit counters agree, local buffers and counters are reset, and the
@@ -48,8 +49,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.channels import ChannelTimeout, ProcessChannel
 from repro.exec.faults import FaultPlan, RobustnessPolicy
-from repro.exec.rollback import CommittedStore
-from repro.exec.workers import _worker_loop, producer_main
+from repro.exec.rollback import CommittedStore, Snapshot
+from repro.exec.runtime import PipelineSkeleton
+from repro.exec.workers import (
+    ShutdownGuard,
+    ThreadStage,
+    _worker_loop,
+    producer_main,
+    raise_hard_exit,
+)
 from repro.obs.events import TraceConfig
 from repro.obs.registry import MetricsRegistry, WRITER_PRODUCER, WRITER_WORKER0
 from repro.obs.spool import open_tracer
@@ -65,14 +73,7 @@ _CONTROL_POLL = 0.2
 _SETTLE_TIMEOUT = 2.0
 
 
-def _done_capacity(capacity: int, workers: int, batch_size: int) -> int:
-    """Worst-case in-flight done traffic — same formula as the engine:
-    a claim and a result per item in the transport or held in a chunk,
-    plus one "stopped" per worker."""
-    return 2 * (capacity + workers * batch_size) + workers + 8
-
-
-class _Slot:
+class _Slot(PipelineSkeleton):
     """The inheritable skeleton of one concurrent job.
 
     Everything here crosses into pool workers through their spawn-time
@@ -85,40 +86,11 @@ class _Slot:
         batch_size: int, flush_interval: float, writer_rows: int,
         transport: str = "pipe",
     ) -> None:
+        super().__init__(
+            ctx, capacity, workers, batch_size, flush_interval, transport,
+            registry_rows=writer_rows,
+        )
         self.index = index
-        self.work = ProcessChannel(
-            capacity, name="work", ctx=ctx,
-            batch_size=batch_size, flush_interval=flush_interval,
-            transport=transport,
-        )
-        self.done = ProcessChannel(
-            _done_capacity(capacity, workers, batch_size),
-            name="done", ctx=ctx,
-            batch_size=batch_size, flush_interval=flush_interval,
-            transport=transport,
-        )
-        self.watermark = ctx.Value("l", 0)
-        self.window = ctx.Value("l", 0)
-        self.shutdown = ctx.Event()
-        self.registry = MetricsRegistry.create(ctx, writer_rows)
-
-
-class _OrphanGuard:
-    """The slot's shutdown event, plus parent-death detection.
-
-    A server killed with SIGKILL cannot tell its workers anything: the
-    control pipe never EOFs (sibling workers inherited the other end at
-    fork) and the shutdown event is never set, so an orphaned worker
-    would idle — or spin inside ``_worker_loop`` — forever.  Exposing
-    parent death through ``is_set()`` makes the engine's existing
-    cooperative-exit path double as the orphan reaper."""
-
-    def __init__(self, shutdown, parent_pid: int) -> None:
-        self._shutdown = shutdown
-        self._parent = parent_pid
-
-    def is_set(self) -> bool:
-        return self._shutdown.is_set() or os.getppid() != self._parent
 
 
 def pool_worker_main(
@@ -175,7 +147,7 @@ def pool_worker_main(
         try:
             _worker_loop(
                 worker_id, slot.work, slot.done, work_fn, speculative,
-                snapshot, fault_plan, _OrphanGuard(slot.shutdown, parent),
+                snapshot, fault_plan, ShutdownGuard(slot.shutdown, parent),
                 slot.watermark, slot.window, max_chunk, stop, tracer,
                 registry, writer,
             )
@@ -192,63 +164,14 @@ def pool_worker_main(
             return
 
 
-class _ThreadProducer:
-    """Phase A on a thread, satisfying the engine's process-handle contract
-    (``is_alive``/``exitcode``/``terminate``/``join``).
-
-    ``terminate`` is a no-op: a thread can only be stopped cooperatively,
-    which the slot's shutdown event already does (``producer_main``
-    re-checks it at every bounded flush)."""
-
-    def __init__(
-        self, work: ProcessChannel, iterations: int, produce, fault_plan,
-        shutdown, start: int, max_chunk: int, registry,
-        trace: Optional[TraceConfig] = None,
-    ) -> None:
-        self._exit = 0
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(work, iterations, produce, fault_plan, shutdown, start,
-                  max_chunk, registry, trace),
-            name="pool-A",
-            daemon=True,
-        )
-
-    def _run(self, work, iterations, produce, fault_plan, shutdown, start,
-             max_chunk, registry, trace) -> None:
-        try:
-            producer_main(
-                work, iterations, produce, fault_plan, shutdown,
-                start=start, max_chunk=max_chunk, trace=trace,
-                registry=registry, writer=WRITER_PRODUCER,
-                close_channel=False,
-            )
-        except BaseException:
-            logger.exception("pool producer thread failed")
-            self._exit = 1
-        finally:
-            # The slot's work channel outlives this job; a closed tracer
-            # must not ride into the next lease.
-            work.tracer = None
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    @property
-    def exitcode(self) -> Optional[int]:
-        return None if self._thread.is_alive() else self._exit
-
-    def terminate(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        pass
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
+def _pool_producer(work: ProcessChannel, *args) -> None:
+    """Phase A of one job, on a thread of the server process."""
+    try:
+        producer_main(work, *args)
+    finally:
+        # The slot's work channel outlives this job; a closed tracer must
+        # not ride into the next lease.
+        work.tracer = None
 
 
 class _PoolWorker:
@@ -275,7 +198,7 @@ class LeaseRuntime:
         self._members: Dict[int, _PoolWorker] = {w.wid: w for w in members}
         self._cancel = threading.Event()
         self._job: Optional[tuple] = None
-        self._producer: Optional[_ThreadProducer] = None
+        self._producer: Optional[ThreadStage] = None
         #: Per-tenant persistent speculation controller, set by the service
         #: before the engine is constructed (None = unthrottled).
         self.job_throttle: Any = None
@@ -317,8 +240,9 @@ class LeaseRuntime:
                        fault_plan: Optional[FaultPlan]):
         if fault_plan is not None and fault_plan.producer_crash_at is not None:
             raise ValueError(
-                "pool mode runs phase A as a thread in the server process; "
-                "producer_crash_at would take the whole service down"
+                "pool mode runs phase A on the slot's long-lived work "
+                "channel; producer_crash_at would close it under every "
+                "later job"
             )
         snapshot = CommittedStore(spec.shared_state).snapshot()
         self._job = (
@@ -327,18 +251,25 @@ class LeaseRuntime:
         )
         for worker in self._members.values():
             self._pool._send_lease(worker, self.slot, self._job)
-        self._producer = _ThreadProducer(
-            self.slot.work, spec.iterations, spec.produce, fault_plan,
-            self.slot.shutdown, start, batch_size, self.slot.registry,
-            trace=self.trace_config,
+        # The slot's work channel outlives the job: no closing flush.
+        self._producer = ThreadStage(
+            _pool_producer,
+            (self.slot.work, spec.iterations, spec.produce, fault_plan,
+             self.slot.shutdown, start, batch_size, self.trace_config,
+             self.slot.registry, WRITER_PRODUCER, False, raise_hard_exit),
+            name="pool-A",
         )
         self._producer.start()
         return self._producer
 
-    def workers(self) -> Dict[int, Any]:
+    def workers(self, snapshot: Snapshot) -> Dict[int, Any]:
+        # The members were leased the job's initial snapshot in
+        # start_producer.
         return {wid: w.process for wid, w in self._members.items()}
 
-    def respawn(self) -> Tuple[int, Any]:
+    def respawn(self, snapshot: Snapshot) -> Tuple[int, Any]:
+        # Leased the job's initial snapshot, not ``snapshot`` (see the
+        # module docstring's staleness note).
         worker = self._pool._respawn_into(self)
         self._members[worker.wid] = worker
         return worker.wid, worker.process
@@ -346,11 +277,14 @@ class LeaseRuntime:
     def cancelled(self) -> bool:
         return self._cancel.is_set()
 
-    def teardown(self, producer, processes, done, join_timeout: float) -> None:
+    def teardown(self, producer, processes, join_timeout: float) -> None:
         self._pool._teardown_lease(self, producer, join_timeout)
 
     def halt(self, producer, processes, join_timeout: float) -> None:
         self._pool._halt_lease(self, producer, join_timeout)
+
+    def close(self) -> None:
+        pass  # the slot's channels outlive the job
 
     # -- service API --------------------------------------------------------------
 
@@ -423,7 +357,7 @@ class WorkerPool:
         ]
         self._free_slots: List[int] = list(range(slots))
         self._quarantined: List[int] = []
-        self._slot_producers: Dict[int, Optional[_ThreadProducer]] = {}
+        self._slot_producers: Dict[int, Optional[ThreadStage]] = {}
         self._pool_shutdown = self._ctx.Event()
         self._workers: Dict[int, _PoolWorker] = {}
         self._free_rows = set(range(self._row_budget))

@@ -8,6 +8,7 @@ conflicts roll back and re-execute serially.
 """
 
 import multiprocessing
+import signal
 import time
 
 import pytest
@@ -68,6 +69,16 @@ def slow_even_work(i, value):
     if i % 4 == 0:
         time.sleep(0.002)  # let later iterations overtake
     return value + 1
+
+
+def stubborn_work(i, value):
+    """Phase B that, inside a worker process, ignores SIGTERM and wedges on
+    iteration 8 — only a kill can reap it."""
+    if multiprocessing.current_process().name.startswith("exec-B"):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        if i == 8:
+            time.sleep(60)
+    return square_work(i, value)
 
 
 def arithmetic_spec(iterations=40):
@@ -384,3 +395,74 @@ class TestMetricsAndEdges:
         result = ExecutionEngine(workers=2, capacity=4).run(spec)
         assert result.output == 6
         assert result.metrics.commits == 6
+
+
+# -- the runtime seam: one committer loop over every runtime -----------------------
+
+
+class TestRuntimeContract:
+    """The engine drives its own processes, its own threads, or a worker-pool
+    lease through one runtime interface; the same spec gives the same
+    output on all three."""
+
+    @pytest.mark.parametrize("runtime", ["process", "thread", "lease"])
+    def test_parser_identical_on_every_runtime(self, runtime):
+        from repro.exec.runtime import LocalRuntime
+        from repro.service.pool import WorkerPool
+
+        expected, _ = run_sequential(ParserWorkload(**PARSER_ARGS).exec_spec())
+        spec = ParserWorkload(**PARSER_ARGS).exec_spec()
+        options = dict(capacity=16, batch_size=8, policy=FAST_POLICY)
+        if runtime == "lease":
+            pool = WorkerPool(workers=2, slots=1, **options).start()
+            try:
+                lease = pool.try_lease()
+                assert lease is not None
+                try:
+                    engine = ExecutionEngine(
+                        workers=len(lease.worker_ids), runtime=lease,
+                        **options,
+                    )
+                    result = engine.run(spec)
+                finally:
+                    pool.release(lease)
+            finally:
+                pool.shutdown()
+            assert engine.runtime is lease
+        else:
+            transport = "pipe" if runtime == "process" else "thread"
+            engine = ExecutionEngine(workers=2, transport=transport, **options)
+            result = engine.run(spec)
+            assert isinstance(engine.runtime, LocalRuntime)
+        assert result.output == expected
+        assert result.metrics.commits == spec.iterations
+        assert not result.metrics.degraded_to_sequential
+
+    def test_degrade_reaps_every_engine_child(self):
+        """Degradation halts the pipeline like a committer crash does:
+        a worker that ignores SIGTERM while wedged in a task is killed,
+        so no engine child outlives the run."""
+        spec = PipelineSpec(
+            iterations=30, produce=produce_triple, work=stubborn_work,
+            commit=append_commit, finalize=take_out,
+        )
+        expected, _ = run_sequential(spec)
+        engine = ExecutionEngine(
+            workers=2, capacity=4,
+            fault_plan=FaultPlan(producer_crash_at=9),
+            policy=RobustnessPolicy(
+                task_timeout=30.0, stall_timeout=30.0, poll_interval=0.01,
+                join_timeout=1.0,
+            ),
+        )
+        started = time.monotonic()
+        result = engine.run(spec)
+        assert time.monotonic() - started < 20
+        assert result.output == expected
+        assert result.metrics.degraded_to_sequential
+        leftover = [
+            child.name for child in multiprocessing.active_children()
+            if child.name.startswith("exec-")
+        ]
+        assert leftover == []
+
